@@ -4,7 +4,7 @@
 use std::collections::BTreeMap;
 use std::path::Path;
 
-use rgs_core::{reference, MiningRequest, Mode, PreparedDb};
+use rgs_core::{reference, MiningOutcome, MiningRequest, Mode, PreparedDb};
 use seqdb::SequenceDatabase;
 
 use crate::corpus::{self, Rng};
@@ -23,33 +23,50 @@ pub struct Batch {
     pub oracle_sample: Option<usize>,
 }
 
-/// The JBoss case study at the paper's min_sup 18: closure-bound.
+/// The JBoss case study, closed patterns at min_sup 40: closure-bound, and
+/// 0.16–0.33 s a job, so a window holds about a hundred of them. (At the
+/// paper's min_sup 18 a job takes 5–9 s and a window held three.)
 pub const CLOSED_CASESTUDY: Batch = Batch {
     corpus: corpus::case_study,
-    min_sup: 18,
+    min_sup: 40,
     mode: Mode::Closed,
     mode_flag: "closed",
     oracle_sample: None,
 };
 
-/// The longest Fig. 6 corpus, all frequent patterns at min_sup 100:
-/// growth-bound, no closure check.
+/// The longest Fig. 6 corpus, all frequent patterns at min_sup 130:
+/// growth-bound, no closure check, and short enough jobs that a window
+/// holds dozens of them.
 pub const ALL_FIG6: Batch = Batch {
     corpus: corpus::fig6_largest_dev,
-    min_sup: 100,
+    min_sup: 130,
     mode: Mode::All,
     mode_flag: "all",
     oracle_sample: Some(200),
 };
 
+impl Batch {
+    pub fn request(&self) -> MiningRequest {
+        MiningRequest {
+            min_sup: self.min_sup,
+            mode: self.mode,
+            ..MiningRequest::default()
+        }
+    }
+}
+
 /// `reference::max_non_overlapping` enumerates every landmark and then
 /// backtracks over them, so it only runs where no sequence holds more than
-/// this many landmarks of the pattern. On the case study most closed
-/// patterns have thousands (a 27-event one has 38,225 in one trace).
+/// this many landmarks of the pattern. Case-study patterns run to
+/// thousands (at min_sup 18 a 27-event one has 38,225 in one trace).
 const ORACLE_MAX_LANDMARKS: u64 = 24;
 
-/// Set-up repetitions: a snapshot build of these corpora takes a few ms.
-const SETUP_REPS: usize = 21;
+/// Set-up repeats `snapshot build` (a few ms on these corpora) until the
+/// builds add up to this many seconds: hundreds of samples.
+const SETUP_MIN_S: f64 = 1.5;
+
+/// Rounds of the traced run (see `layers::measure`).
+const TRACE_ROUNDS: usize = 3;
 
 /// Rendered pattern -> support.
 pub type Answer = BTreeMap<String, u64>;
@@ -71,22 +88,22 @@ pub fn parse_answer(stdout: &str) -> Result<Answer, String> {
     Ok(answer)
 }
 
-/// Runs `rgs-mine snapshot build` `reps` times; returns the wall times and
-/// the largest child RSS.
+/// Runs `rgs-mine snapshot build` at least once and until the builds add
+/// up to `min_total_s`; returns the wall times and the largest child RSS.
 pub fn build_image(
     ctx: &Ctx,
     text: &Path,
     image: &Path,
-    reps: usize,
+    min_total_s: f64,
     report: &mut Report,
 ) -> (Vec<f64>, f64) {
-    let mut walls = Vec::new();
+    let mut walls: Vec<f64> = Vec::new();
     let mut rss: f64 = 0.0;
     let (text, image) = (
         text.to_str().expect("utf-8 path"),
         image.to_str().expect("utf-8 path"),
     );
-    for i in 0..reps {
+    while walls.is_empty() || walls.iter().sum::<f64>() < min_total_s {
         let (done, _, err) = proc::run(
             &ctx.mine_bin(),
             &["snapshot", "build", "--input", text, "--out", image],
@@ -94,7 +111,7 @@ pub fn build_image(
             "build",
         );
         report.check(done.success, || {
-            format!("snapshot build #{i} failed: {}", read(&err))
+            format!("snapshot build #{} failed: {}", walls.len(), read(&err))
         });
         walls.push(done.wall.as_secs_f64());
         rss = rss.max(done.peak_rss_mb);
@@ -106,14 +123,96 @@ pub fn read(path: &Path) -> String {
     std::fs::read_to_string(path).unwrap_or_default()
 }
 
+/// What a measuring window saw.
+pub struct Window {
+    /// Spawn to exit of each run, seconds.
+    pub walls: Vec<f64>,
+    /// The largest `ru_maxrss` of the runs, MiB.
+    pub rss: f64,
+    /// The first run's stdout; every later run printed the same.
+    pub first: String,
+}
+
+/// Runs `rgs-mine args…` back to back, at least once and until the run's
+/// window ends, calling `between` after each run with the share of the
+/// window gone. Each run is one checked answer: it must exit 0, report no
+/// truncation, and print exactly what the first run printed.
+pub fn window_loop(
+    ctx: &Ctx,
+    args: &[&str],
+    report: &mut Report,
+    mut between: impl FnMut(f64, &mut Report),
+) -> Window {
+    let window = std::time::Instant::now();
+    let mut walls = Vec::new();
+    let mut rss: f64 = 0.0;
+    let mut first: Option<String> = None;
+    while walls.is_empty() || window.elapsed().as_secs_f64() < ctx.seconds {
+        let (done, out, err) = proc::run(&ctx.mine_bin(), args, &ctx.work, "job");
+        let stdout = read(&out);
+        let stderr = read(&err);
+        let same = first.as_ref().is_none_or(|f| *f == stdout);
+        report.check(
+            done.success && same && !stderr.contains("TRUNCATED"),
+            || {
+                format!(
+                    "run #{} exit ok {}, same output as run #0 {same}: {stderr}",
+                    walls.len(),
+                    done.success
+                )
+            },
+        );
+        walls.push(done.wall.as_secs_f64());
+        rss = rss.max(done.peak_rss_mb);
+        first.get_or_insert(stdout);
+        between(window.elapsed().as_secs_f64() / ctx.seconds, report);
+    }
+    Window {
+        walls,
+        rss,
+        first: first.unwrap_or_default(),
+    }
+}
+
+/// Mines `request` in-process; the outcome must not be truncated.
+pub fn in_process_answer(
+    prepared: &PreparedDb,
+    request: MiningRequest,
+    report: &mut Report,
+) -> (MiningOutcome, Answer) {
+    let outcome = prepared.miner().with_request(request).run();
+    report.check(!outcome.truncated, || "in-process run truncated".to_owned());
+    let catalog = prepared.catalog();
+    let answer = outcome
+        .patterns
+        .iter()
+        .map(|m| (m.pattern.render_with(catalog, " "), m.support))
+        .collect();
+    (outcome, answer)
+}
+
+/// Checks a binary's printed answer against the in-process one.
+pub fn check_answer(report: &mut Report, stdout: &str, expected: &Answer) {
+    match parse_answer(stdout) {
+        Ok(got) => report.check(!got.is_empty() && got == *expected, || {
+            format!(
+                "binary gave {} patterns, in-process {}; first difference {:?}",
+                got.len(),
+                expected.len(),
+                got.iter().zip(expected).find(|(a, b)| a != b)
+            )
+        }),
+        Err(message) => report.check(false, || message),
+    }
+}
+
 /// The in-process answer of `w` over the token file. The sampled supports
 /// are re-derived by `greedy_support` and, where it is tractable, by
 /// `reference::max_non_overlapping`; both checks go into `report`.
 fn reference_answer(ctx: &Ctx, w: &Batch, text: &Path, report: &mut Report) -> Answer {
     let db = seqdb::io::read_tokens_file(text).expect("read corpus");
     let prepared = PreparedDb::from_database(db);
-    let outcome = prepared.miner().min_sup(w.min_sup).mode(w.mode).run();
-    report.check(!outcome.truncated, || "in-process run truncated".to_owned());
+    let (outcome, answer) = in_process_answer(&prepared, w.request(), report);
     let db = prepared.database();
     let mut picked: Vec<usize> = (0..outcome.patterns.len()).collect();
     if let Some(n) = w.oracle_sample {
@@ -142,11 +241,7 @@ fn reference_answer(ctx: &Ctx, w: &Batch, text: &Path, report: &mut Report) -> A
             });
         }
     }
-    outcome
-        .patterns
-        .iter()
-        .map(|m| (m.pattern.render_with(db.catalog(), " "), m.support))
-        .collect()
+    answer
 }
 
 pub fn run(ctx: &Ctx, w: &Batch, report: &mut Report) {
@@ -167,67 +262,46 @@ pub fn run(ctx: &Ctx, w: &Batch, report: &mut Report) {
     ];
 
     if ctx.trace {
-        let (build, _) = build_image(ctx, &text, &image, 1, report);
-        let (job, _, _) = proc::run(&ctx.mine_bin(), &job_args, &ctx.work, "job");
-        report.check(job.success, || "untraced job failed".to_owned());
-        let request = MiningRequest {
-            min_sup: w.min_sup,
-            mode: w.mode,
-            ..MiningRequest::default()
+        let untraced = |report: &mut Report| {
+            let (build, _) = build_image(ctx, &text, &image, 0.0, report);
+            let (job, _, _) = proc::run(&ctx.mine_bin(), &job_args, &ctx.work, "job");
+            report.check(job.success, || "untraced job failed".to_owned());
+            build[0] + job.wall.as_secs_f64()
         };
-        let untraced_s = build[0] + job.wall.as_secs_f64();
-        layers::measure(ctx, &text, &[request], untraced_s, report);
+        let coverage = layers::measure(ctx, &text, &[w.request()], TRACE_ROUNDS, untraced, report);
+        report.check(coverage >= layers::MIN_COVERAGE, || {
+            format!(
+                "trace.coverage {coverage:.4} is below {}",
+                layers::MIN_COVERAGE
+            )
+        });
         let bodies = serve::probe_bodies(w.min_sup, 3);
         serve::trace_probe(ctx, &ctx.work.join("traced.img"), &bodies, report);
         return;
     }
 
-    let (setups, setup_rss) = build_image(ctx, &text, &image, SETUP_REPS, report);
+    // The set-up samples are spread over the window, between jobs, so that
+    // they see the same host phases as the jobs do.
+    let (mut setups, mut setup_rss) = build_image(ctx, &text, &image, 0.0, report);
     let image_bytes = std::fs::metadata(&image).expect("image written").len();
-
-    let window = std::time::Instant::now();
-    let mut walls = Vec::new();
-    let mut rss = setup_rss;
-    let mut first: Option<String> = None;
-    while walls.is_empty() || window.elapsed().as_secs_f64() < ctx.seconds {
-        let (done, out, err) = proc::run(&ctx.mine_bin(), &job_args, &ctx.work, "job");
-        let stdout = read(&out);
-        let stderr = read(&err);
-        let same = first.as_ref().is_none_or(|f| *f == stdout);
-        report.check(
-            done.success && same && !stderr.contains("TRUNCATED"),
-            || {
-                format!(
-                    "job #{} exit ok {}, same output as job #0 {same}: {stderr}",
-                    walls.len(),
-                    done.success
-                )
-            },
-        );
-        walls.push(done.wall.as_secs_f64());
-        rss = rss.max(done.peak_rss_mb);
-        first.get_or_insert(stdout);
-    }
-
+    let window = window_loop(ctx, &job_args, report, |share, report| {
+        let due = SETUP_MIN_S * share - setups.iter().sum::<f64>();
+        if due > 0.0 {
+            let (more, rss) = build_image(ctx, &text, &image, due, report);
+            setups.extend(more);
+            setup_rss = setup_rss.max(rss);
+        }
+    });
     let expected = reference_answer(ctx, w, &text, report);
-    match parse_answer(first.as_deref().unwrap_or_default()) {
-        Ok(got) => report.check(got == expected, || {
-            format!(
-                "binary gave {} patterns, in-process {}; first difference {:?}",
-                got.len(),
-                expected.len(),
-                got.iter().zip(&expected).find(|(a, b)| a != b)
-            )
-        }),
-        Err(message) => report.check(false, || message),
-    }
+    check_answer(report, &window.first, &expected);
 
     report::put_end_to_end(
         report,
         &setups,
-        &walls,
-        report::serial_rps(&walls),
-        (rss, SETUP_REPS + walls.len()),
+        &window.walls,
+        report::fastest(&window.walls),
+        report::serial_rps(&window.walls),
+        (setup_rss.max(window.rss), setups.len() + window.walls.len()),
         image_bytes as f64 / text_bytes as f64,
     );
 }

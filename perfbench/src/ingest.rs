@@ -6,7 +6,7 @@ use std::path::Path;
 
 use rgs_core::{MiningRequest, Mode, PreparedDb};
 
-use crate::batch::{self, build_image, parse_answer, read};
+use crate::batch::{build_image, check_answer, in_process_answer, read, window_loop};
 use crate::report::{self, Report};
 use crate::{corpus, layers, proc, serve, Ctx};
 
@@ -14,12 +14,23 @@ use crate::{corpus, layers, proc, serve, Ctx};
 /// during verification and page-cache slack, refuse to start below this.
 const MIN_FREE_BYTES: u64 = 3 << 30;
 
-/// Snapshot builds per run (about 5.5 s each).
-const SETUP_REPS: usize = 2;
+/// Set-up repeats `snapshot build` (about 5.5 s each) until the builds add
+/// up to this many seconds: two builds.
+const SETUP_MIN_S: f64 = 6.0;
 
 /// The probe: frequent pairs of the most common events.
 const PROBE_MIN_SUP: u64 = 5000;
 const PROBE_MAX_LEN: usize = 2;
+
+/// The probe as a library request.
+pub fn probe() -> MiningRequest {
+    MiningRequest {
+        min_sup: PROBE_MIN_SUP,
+        mode: Mode::All,
+        max_pattern_length: Some(PROBE_MAX_LEN),
+        ..MiningRequest::default()
+    }
+}
 
 fn free_bytes(dir: &Path) -> Result<u64, String> {
     let out = std::process::Command::new("df")
@@ -62,27 +73,28 @@ pub fn run(ctx: &Ctx, report: &mut Report) -> Result<(), String> {
         "--top",
         "1000000000",
     ];
-    let probe = MiningRequest {
-        min_sup: PROBE_MIN_SUP,
-        mode: Mode::All,
-        max_pattern_length: Some(PROBE_MAX_LEN),
-        ..MiningRequest::default()
-    };
+    let probe = probe();
 
     if ctx.trace {
-        let (build, _) = build_image(ctx, &text, &image, 1, report);
-        let (answer, _, _) = proc::run(&ctx.mine_bin(), &probe_args, &ctx.work, "probe");
-        report.check(answer.success, || "untraced probe failed".to_owned());
-        // Only one 1 GB image at a time on disk.
-        std::fs::remove_file(&image).expect("remove image");
-        let untraced_s = build[0] + answer.wall.as_secs_f64();
-        layers::measure(ctx, &text, &[probe], untraced_s, report);
+        // Only one 1 GB image at a time on disk: the untraced path removes
+        // its image before the traced pass writes its own.
+        let untraced = |report: &mut Report| {
+            let (build, _) = build_image(ctx, &text, &image, 0.0, report);
+            let (answer, _, _) = proc::run(&ctx.mine_bin(), &probe_args, &ctx.work, "probe");
+            report.check(answer.success, || "untraced probe failed".to_owned());
+            std::fs::remove_file(&image).expect("remove image");
+            build[0] + answer.wall.as_secs_f64()
+        };
+        // Coverage is reported but not checked here: at 1.9 GB the kernel's
+        // page faults and address-space teardown at exit, which no library
+        // call can time, take 0.5–1 s of the binaries' 7.5 s.
+        layers::measure(ctx, &text, &[probe], 1, untraced, report);
         let bodies = serve::probe_bodies(PROBE_MIN_SUP, PROBE_MAX_LEN);
         serve::trace_probe(ctx, &ctx.work.join("traced.img"), &bodies, report);
         return Ok(());
     }
 
-    let (setups, mut rss) = build_image(ctx, &text, &image, SETUP_REPS, report);
+    let (setups, setup_rss) = build_image(ctx, &text, &image, SETUP_MIN_S, report);
     let image_bytes = std::fs::metadata(&image).expect("image written").len();
     let (verified, out, _) = proc::run(
         &ctx.mine_bin(),
@@ -90,59 +102,26 @@ pub fn run(ctx: &Ctx, report: &mut Report) -> Result<(), String> {
         &ctx.work,
         "verify",
     );
-    rss = rss.max(verified.peak_rss_mb);
     report.check(
         verified.success && read(&out).contains("verify:    OK"),
         || format!("snapshot verify failed: {}", read(&out)),
     );
-
-    let window = std::time::Instant::now();
-    let mut walls = Vec::new();
-    let mut first: Option<String> = None;
-    while walls.is_empty() || window.elapsed().as_secs_f64() < ctx.seconds {
-        let (done, out, _) = proc::run(&ctx.mine_bin(), &probe_args, &ctx.work, "probe");
-        let stdout = read(&out);
-        let same = first.as_ref().is_none_or(|f| *f == stdout);
-        report.check(done.success && same, || {
-            format!(
-                "first answer #{} exit ok {}, same output {same}",
-                walls.len(),
-                done.success
-            )
-        });
-        walls.push(done.wall.as_secs_f64());
-        rss = rss.max(done.peak_rss_mb);
-        first.get_or_insert(stdout);
-    }
+    let window = window_loop(ctx, &probe_args, report, |_, _| {});
     std::fs::remove_file(&image).expect("remove image");
 
     // The in-memory PreparedDb must answer exactly like the opened image.
     let db = seqdb::io::read_tokens_file(&text).expect("read corpus");
-    let prepared = PreparedDb::from_database(db);
-    let outcome = prepared.miner().with_request(probe).run();
-    let catalog = prepared.catalog();
-    let expected: batch::Answer = outcome
-        .patterns
-        .iter()
-        .map(|m| (m.pattern.render_with(catalog, " "), m.support))
-        .collect();
-    match parse_answer(first.as_deref().unwrap_or_default()) {
-        Ok(got) => report.check(!got.is_empty() && got == expected, || {
-            format!(
-                "image answered {} patterns, in-memory PreparedDb {}",
-                got.len(),
-                expected.len()
-            )
-        }),
-        Err(message) => report.check(false, || message),
-    }
+    let (_, expected) = in_process_answer(&PreparedDb::from_database(db), probe, report);
+    check_answer(report, &window.first, &expected);
 
+    let rss = setup_rss.max(verified.peak_rss_mb).max(window.rss);
     report::put_end_to_end(
         report,
         &setups,
-        &walls,
-        report::serial_rps(&walls),
-        (rss, SETUP_REPS + 1 + walls.len()),
+        &window.walls,
+        report::fastest(&window.walls),
+        report::serial_rps(&window.walls),
+        (rss, setups.len() + 1 + window.walls.len()),
         image_bytes as f64 / text_bytes as f64,
     );
     Ok(())

@@ -1,24 +1,34 @@
 //! The traced run: every layer called in-process and timed from here, so
 //! nothing under `crates/` needs instrumenting.
 //!
-//! One traced pass walks the path a job takes — parse, index build,
-//! snapshot write, snapshot open, mining, rendering — and its spans must
-//! cover its wall time (`trace.coverage`). Cheap layers are then repeated
-//! until their samples add up to `MIN_LAYER_S`, and each reports its median.
+//! A traced pass walks the path a job takes — parse, index build, snapshot
+//! write, snapshot open, mining, rendering — and its spans must cover the
+//! wall time of the same path through the binaries (`trace.coverage`).
+//! Cheap layers are then repeated until their samples add up to
+//! `MIN_LAYER_S`, and each reports its median.
 
 use std::path::Path;
 use std::time::Instant;
 
 use rgs_core::closure::{CheckScratch, ClosureChecker, ClosureStatus};
-use rgs_core::{kernel, MiningReport, MiningRequest, Mode, Pattern, PreparedDb, SupportSet};
+use rgs_core::{
+    kernel, MiningOutcome, MiningReport, MiningRequest, Mode, Pattern, PreparedDb, SupportSet,
+};
 use seqdb::snapshot::verify;
 use seqdb::EventId;
 
 use crate::report::{self, Report};
-use crate::Ctx;
+use crate::{batch, proc, Ctx};
 
 /// Repeat a cheap layer until its samples add up to this many seconds.
 const MIN_LAYER_S: f64 = 0.3;
+
+/// The traced rounds go on for at least this many seconds.
+const MIN_TRACE_S: f64 = 30.0;
+
+/// `trace.coverage` below this fails a batch workload's traced run: the
+/// timed calls then miss work the binaries do.
+pub const MIN_COVERAGE: f64 = 0.95;
 
 /// The growth-kernel layer grows at most this many of the most frequent
 /// events' seeds by as many events.
@@ -30,36 +40,43 @@ fn span<T>(f: impl FnOnce() -> T) -> (f64, T) {
     (start.elapsed().as_secs_f64(), out)
 }
 
-/// `first` plus repeats of `f` until the samples reach `MIN_LAYER_S`.
-fn with_repeats<T>(first: f64, f: impl FnMut() -> T) -> Vec<f64> {
-    let mut samples = vec![first];
-    if first < MIN_LAYER_S {
-        let (more, _) = report::time_reps(1, MIN_LAYER_S - first, f);
+/// `firsts` plus repeats of `f` until the samples reach `MIN_LAYER_S`.
+fn with_repeats<T>(firsts: &[f64], f: impl FnMut() -> T) -> Vec<f64> {
+    let mut samples = firsts.to_vec();
+    let sum: f64 = samples.iter().sum();
+    if sum < MIN_LAYER_S {
+        let (more, _) = report::time_reps(1, MIN_LAYER_S - sum, f);
         samples.extend(more);
     }
     samples
 }
 
-/// Times every library layer for `requests` over the token file `text`.
-/// `untraced_s` is the wall time of the same path through the binaries
-/// (snapshot build plus one job), the base of `trace.overhead`.
-pub fn measure(
-    ctx: &Ctx,
-    text: &Path,
-    requests: &[MiningRequest],
-    untraced_s: f64,
-    report: &mut Report,
-) {
-    let image = ctx.work.join("traced.img");
+/// One traced pass: the path a job takes, every step timed.
+struct Pass {
+    parse_s: f64,
+    build_s: f64,
+    write_s: f64,
+    open_s: f64,
+    run_s: f64,
+    render_s: f64,
+    /// Sum of every span, the dropped index included.
+    spans_s: f64,
+    /// Wall time of the whole pass.
+    wall_s: f64,
+    heap_bytes: usize,
+    image_bytes: u64,
+    opened: PreparedDb,
+    outcomes: Vec<MiningOutcome>,
+}
 
-    // The traced pass.
+fn traced_pass(text: &Path, image: &Path, requests: &[MiningRequest]) -> Pass {
     let pass = Instant::now();
     let (parse_s, db) = span(|| seqdb::io::read_tokens_file(text).expect("read corpus"));
     let (build_s, prepared) = span(|| PreparedDb::from_database(db));
-    let (write_s, bytes) = span(|| prepared.write_snapshot(&image).expect("write snapshot"));
+    let (write_s, image_bytes) = span(|| prepared.write_snapshot(image).expect("write snapshot"));
     let heap_bytes = prepared.heap_bytes();
     let (drop_s, ()) = span(|| drop(prepared));
-    let (open_s, opened) = span(|| PreparedDb::open_snapshot(&image).expect("open snapshot"));
+    let (open_s, opened) = span(|| PreparedDb::open_snapshot(image).expect("open snapshot"));
     let mut run_s = 0.0;
     let mut render_s = 0.0;
     let mut outcomes = Vec::new();
@@ -88,94 +105,199 @@ pub fn measure(
         drop(rendered);
         outcomes.push(outcome);
     }
-    let pass_s = pass.elapsed().as_secs_f64();
-    let spans = parse_s + build_s + write_s + drop_s + open_s + run_s + render_s;
+    Pass {
+        parse_s,
+        build_s,
+        write_s,
+        open_s,
+        run_s,
+        render_s,
+        spans_s: parse_s + build_s + write_s + drop_s + open_s + run_s + render_s,
+        wall_s: pass.elapsed().as_secs_f64(),
+        heap_bytes,
+        image_bytes,
+        opened,
+        outcomes,
+    }
+}
+
+/// The exact counts of one pass's outcomes, summed over its requests.
+fn counts(outcomes: &[MiningOutcome]) -> [u64; 5] {
+    let sum = |f: fn(&MiningOutcome) -> u64| outcomes.iter().map(f).sum::<u64>();
+    [
+        sum(|o| o.len() as u64),
+        sum(|o| o.stats.visited),
+        sum(|o| o.stats.instance_growths),
+        sum(|o| o.stats.non_closed_filtered),
+        sum(|o| o.stats.landmark_border_prunes),
+    ]
+}
+
+/// The body of a `--pass` child: one traced pass over `text`, printed as
+/// one line — the spans' sum, the pass's wall time, then the exact counts.
+pub fn pass_line(text: &Path, image: &Path, requests: &[MiningRequest]) -> String {
+    let pass = traced_pass(text, image, requests);
+    let counts: Vec<String> = counts(&pass.outcomes).iter().map(u64::to_string).collect();
+    format!("{:?} {:?} {}", pass.spans_s, pass.wall_s, counts.join(" "))
+}
+
+/// Runs one traced pass in a fresh `--pass` child of this harness and
+/// returns its spans' sum, its wall time and its exact counts.
+fn child_pass(ctx: &Ctx, text: &Path, report: &mut Report) -> Option<(f64, f64, [u64; 5])> {
+    let image = ctx.work.join("pass.img");
+    let exe = std::env::current_exe().expect("own executable");
+    let (done, out, err) = proc::run(
+        &exe,
+        &[
+            "--workload",
+            &ctx.workload,
+            "--pass",
+            text.to_str().expect("utf-8 path"),
+            "--pass-image",
+            image.to_str().expect("utf-8 path"),
+        ],
+        &ctx.work,
+        "pass",
+    );
+    let _ = std::fs::remove_file(&image);
+    let line = batch::read(&out);
+    let fields: Vec<f64> = line
+        .split_whitespace()
+        .filter_map(|f| f.parse().ok())
+        .collect();
+    let ok = done.success && fields.len() == 7;
+    report.check(ok, || format!("traced pass failed: {}", batch::read(&err)));
+    ok.then(|| {
+        let counts = [2, 3, 4, 5, 6].map(|i| fields[i] as u64);
+        (fields[0], fields[1], counts)
+    })
+}
+
+/// Times every library layer for `requests` over the token file `text`
+/// and returns `trace.coverage`.
+///
+/// Rounds go on for at least `rounds` rounds and `MIN_TRACE_S` seconds.
+/// Each first calls `untraced`, which takes the job's path through the
+/// binaries (snapshot build plus the job) and returns its wall time, then
+/// takes the same path as a traced pass in a fresh child of this harness.
+/// Coverage is the sum of a pass's spans over the untraced wall time, so
+/// work the binaries do outside the timed calls lowers it; overhead is the
+/// traced pass's wall time over the untraced one. Both sides run in fresh
+/// processes because a process's speed on a shared host is set when it
+/// starts (the same job runs 0.16 or 0.33 s in consecutive processes), and
+/// each side takes its fastest round, the figure that luck moves least.
+/// The per-layer times come from `rounds` further passes in this process.
+pub fn measure(
+    ctx: &Ctx,
+    text: &Path,
+    requests: &[MiningRequest],
+    rounds: usize,
+    mut untraced: impl FnMut(&mut Report) -> f64,
+    report: &mut Report,
+) -> f64 {
+    let image = ctx.work.join("traced.img");
+    let mut untraced_s = Vec::new();
+    let mut child_spans_s = Vec::new();
+    let mut child_wall_s = Vec::new();
+    let mut child_counts = Vec::new();
+    let started = Instant::now();
+    while untraced_s.len() < rounds.max(1) || started.elapsed().as_secs_f64() < MIN_TRACE_S {
+        untraced_s.push(untraced(report));
+        if let Some((spans, wall, counts)) = child_pass(ctx, text, report) {
+            child_spans_s.push(spans);
+            child_wall_s.push(wall);
+            child_counts.push(counts);
+        }
+    }
+    let passes: Vec<Pass> = (0..rounds.max(1))
+        .map(|_| traced_pass(text, &image, requests))
+        .collect();
+    let last = passes.last().expect("at least one pass");
+    let exact = counts(&last.outcomes);
+    let repeats = passes
+        .iter()
+        .map(|p| counts(&p.outcomes))
+        .chain(child_counts)
+        .all(|c| c == exact);
+    report.check(repeats, || {
+        "exact counts differ between traced passes".to_owned()
+    });
+    let of = |f: fn(&Pass) -> f64| passes.iter().map(f).collect::<Vec<f64>>();
+    let opened = &last.opened;
 
     // Repeats of the cheap layers, for steadier medians.
-    let parse = with_repeats(parse_s, || {
+    let parse = with_repeats(&of(|p| p.parse_s), || {
         seqdb::io::read_tokens_file(text).expect("read corpus")
     });
-    let mut build = vec![build_s];
+    let mut build = of(|p| p.build_s);
     while build.iter().sum::<f64>() < MIN_LAYER_S {
         let db = opened.database().clone();
         let (t, rebuilt) = span(|| PreparedDb::from_database(db));
         build.push(t);
         drop(rebuilt);
     }
-    let write = with_repeats(write_s, || {
+    let write = with_repeats(&of(|p| p.write_s), || {
         opened.write_snapshot(&image).expect("write snapshot")
     });
     let (verify_first, verdict) = span(|| verify::verify_file(&image).expect("read snapshot"));
     report.check(verdict.is_clean(), || {
         "traced image fails verification".to_owned()
     });
-    let verify = with_repeats(verify_first, || verify::verify_file(&image));
-    let open = with_repeats(open_s, || PreparedDb::open_snapshot(&image));
+    let verify = with_repeats(&[verify_first], || verify::verify_file(&image));
+    let open = with_repeats(&of(|p| p.open_s), || PreparedDb::open_snapshot(&image));
     let (boot_first, booted) = span(|| rgs_serve::boot_snapshot(&image));
     report.check(booted.is_ok(), || {
         "boot_snapshot refused the traced image".to_owned()
     });
-    let boot = with_repeats(boot_first, || rgs_serve::boot_snapshot(&image));
+    let boot = with_repeats(&[boot_first], || rgs_serve::boot_snapshot(&image));
 
-    report.put("seqdb.io.parse_s", report::median(&parse), "s", parse.len());
+    let put_median = |report: &mut Report, name: &str, samples: &[f64]| {
+        report.put(name, report::median(samples), "s", samples.len());
+    };
+    put_median(report, "seqdb.io.parse_s", &parse);
+    put_median(report, "core.prepared.build_s", &build);
     report.put(
-        "core.prepared.build_s",
-        report::median(&build),
-        "s",
-        build.len(),
+        "core.prepared.heap_bytes",
+        last.heap_bytes as f64,
+        "bytes",
+        1,
     );
-    report.put("core.prepared.heap_bytes", heap_bytes as f64, "bytes", 1);
-    report.put(
-        "seqdb.snapshot.write_s",
-        report::median(&write),
-        "s",
-        write.len(),
-    );
-    report.put("seqdb.snapshot.bytes", bytes as f64, "bytes", 1);
-    report.put(
-        "seqdb.snapshot.verify_s",
-        report::median(&verify),
-        "s",
-        verify.len(),
-    );
-    report.put(
-        "seqdb.snapshot.open_s",
-        report::median(&open),
-        "s",
-        open.len(),
-    );
-    report.put("serve.boot_s", report::median(&boot), "s", boot.len());
-
-    let sum = |f: fn(&rgs_core::MiningOutcome) -> u64| outcomes.iter().map(f).sum::<u64>() as f64;
-    let n = requests.len();
-    report.put("core.miner.run_s", run_s, "s", n);
-    report.put("core.patterns", sum(|o| o.len() as u64), "count", n);
-    report.put("core.stats.visited", sum(|o| o.stats.visited), "count", n);
-    report.put(
+    put_median(report, "seqdb.snapshot.write_s", &write);
+    report.put("seqdb.snapshot.bytes", last.image_bytes as f64, "bytes", 1);
+    put_median(report, "seqdb.snapshot.verify_s", &verify);
+    put_median(report, "seqdb.snapshot.open_s", &open);
+    put_median(report, "serve.boot_s", &boot);
+    put_median(report, "core.miner.run_s", &of(|p| p.run_s));
+    let names = [
+        "core.patterns",
+        "core.stats.visited",
         "core.stats.instance_growths",
-        sum(|o| o.stats.instance_growths),
-        "count",
-        n,
-    );
-    report.put(
         "core.stats.non_closed_filtered",
-        sum(|o| o.stats.non_closed_filtered),
-        "count",
-        n,
-    );
-    report.put(
         "core.stats.landmark_border_prunes",
-        sum(|o| o.stats.landmark_border_prunes),
-        "count",
-        n,
-    );
-    report.put("core.render_s", render_s, "s", n);
+    ];
+    for (name, count) in names.into_iter().zip(counts(&last.outcomes)) {
+        report.put(name, count as f64, "count", requests.len());
+    }
+    put_median(report, "core.render_s", &of(|p| p.render_s));
 
-    kernel_layer(&opened, requests, report);
-    closure_layer(&opened, requests, &outcomes, report);
+    kernel_layer(opened, requests, report);
+    closure_layer(opened, requests, &last.outcomes, report);
 
-    report.put("trace.coverage", spans / pass_s, "ratio", 1);
-    report.put("trace.overhead", pass_s / untraced_s, "ratio", 1);
+    report.raw("trace.untraced_s", &untraced_s);
+    report.raw("trace.spans_s", &child_spans_s);
+    // With every child pass failed (already a failed check), both read 0.
+    let (coverage, overhead) = if child_spans_s.is_empty() {
+        (0.0, 0.0)
+    } else {
+        let untraced_s = report::fastest(&untraced_s);
+        (
+            report::fastest(&child_spans_s) / untraced_s,
+            report::fastest(&child_wall_s) / untraced_s,
+        )
+    };
+    report.put("trace.coverage", coverage, "ratio", child_spans_s.len());
+    report.put("trace.overhead", overhead, "ratio", child_wall_s.len());
+    coverage
 }
 
 /// `kernel::grow_layer` over the seeds of the most frequent events.
@@ -187,15 +309,14 @@ fn kernel_layer(prepared: &PreparedDb, requests: &[MiningRequest], report: &mut 
     events.sort_unstable();
     let sc = prepared.support_computer();
     let seeds: Vec<SupportSet> = events.iter().map(|&e| sc.initial_support_set(e)).collect();
-    let (samples, _) = report::time_reps(3, MIN_LAYER_S, || {
+    let (samples, growths) = report::time_reps(3, MIN_LAYER_S, || {
         kernel::grow_layer(prepared.index(), &seeds, &events)
     });
     let per_layer = report::median(&samples);
-    let growths = (seeds.len() * events.len()) as f64;
     report.put("core.kernel.grow_layer_s", per_layer, "s", samples.len());
     report.put(
         "core.kernel.growths_per_s",
-        growths / per_layer,
+        growths as f64 / per_layer,
         "1/s",
         samples.len(),
     );
@@ -206,7 +327,7 @@ fn kernel_layer(prepared: &PreparedDb, requests: &[MiningRequest], report: &mut 
 fn closure_layer(
     prepared: &PreparedDb,
     requests: &[MiningRequest],
-    outcomes: &[rgs_core::MiningOutcome],
+    outcomes: &[MiningOutcome],
     report: &mut Report,
 ) {
     let sc = prepared.support_computer();
@@ -253,11 +374,6 @@ fn closure_layer(
         }
     }
     let calls: u64 = verdicts.iter().sum();
-    // With no calls the figure is the cost of the empty loop, as measured.
-    if calls == 0 {
-        let (t, ()) = span(|| ());
-        check_s = t;
-    }
     report.put("core.closure.check_s", check_s, "s", calls as usize);
     report.put("core.closure.calls", calls as f64, "count", 1);
     report.put(

@@ -28,6 +28,7 @@ use report::Report;
 /// directory, and the run's settings.
 #[derive(Debug)]
 pub struct Ctx {
+    pub workload: String,
     pub bin_dir: PathBuf,
     pub work: PathBuf,
     pub seed: u64,
@@ -58,6 +59,9 @@ impl Drop for WorkDir {
 const WORKLOADS: [&str; 4] = ["closed-casestudy", "all-fig6", "serve-mixed", "ingest-fig5"];
 
 struct Args {
+    /// `--pass TEXT --pass-image IMG`: run one traced pass over `TEXT`
+    /// for the workload's requests, print it and exit (see `layers`).
+    pass: Option<(PathBuf, PathBuf)>,
     bin_dir: PathBuf,
     root: PathBuf,
     workload: String,
@@ -74,6 +78,8 @@ fn parse_args() -> Result<Args, String> {
     let mut seed = None;
     let mut seconds = None;
     let mut trace = None;
+    let mut pass = None;
+    let mut pass_image = None;
     let mut i = 0;
     while i < args.len() {
         let value = args
@@ -83,6 +89,8 @@ fn parse_args() -> Result<Args, String> {
             "--bin-dir" => bin_dir = Some(PathBuf::from(value)),
             "--root" => root = Some(PathBuf::from(value)),
             "--workload" => workload = Some(value.clone()),
+            "--pass" => pass = Some(PathBuf::from(value)),
+            "--pass-image" => pass_image = Some(PathBuf::from(value)),
             "--seed" => seed = Some(value.parse().map_err(|_| "--seed must be an integer")?),
             "--seconds" => {
                 seconds = Some(value.parse().map_err(|_| "--seconds must be a number")?);
@@ -102,7 +110,20 @@ fn parse_args() -> Result<Args, String> {
     if !WORKLOADS.contains(&workload.as_str()) {
         return Err(format!("unknown workload {workload}; one of {WORKLOADS:?}"));
     }
+    if let Some(text) = pass {
+        let image = pass_image.ok_or("--pass needs --pass-image")?;
+        return Ok(Args {
+            pass: Some((text, image)),
+            bin_dir: PathBuf::new(),
+            root: PathBuf::new(),
+            workload,
+            seed: 0,
+            seconds: 0.0,
+            trace: true,
+        });
+    }
     Ok(Args {
+        pass: None,
         bin_dir: bin_dir.ok_or("--bin-dir is required")?,
         root: root.ok_or("--root is required")?,
         workload,
@@ -144,6 +165,16 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    if let Some((text, image)) = &args.pass {
+        let requests = match args.workload.as_str() {
+            "closed-casestudy" => vec![batch::CLOSED_CASESTUDY.request()],
+            "all-fig6" => vec![batch::ALL_FIG6.request()],
+            "serve-mixed" => serve::menu_requests(),
+            _ => vec![ingest::probe()],
+        };
+        println!("{}", layers::pass_line(text, image, &requests));
+        return ExitCode::SUCCESS;
+    }
     let work =
         args.root
             .join(".bench_work")
@@ -151,6 +182,7 @@ fn main() -> ExitCode {
     std::fs::create_dir_all(&work).expect("create the scratch directory");
     let guard = WorkDir(work.clone());
     let ctx = Ctx {
+        workload: args.workload.clone(),
         bin_dir: args.bin_dir,
         work,
         seed: args.seed,
