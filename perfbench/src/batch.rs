@@ -119,6 +119,17 @@ pub fn build_image(
     (walls, rss)
 }
 
+/// The `Miner::run` time `rgs-mine` reports on stderr, from its
+/// `# N <mode> patterns mined in X.XXXs` line.
+fn reported_mining_s(stderr: &str) -> Option<f64> {
+    stderr
+        .lines()
+        .find_map(|line| line.split_once(" patterns mined in "))
+        .and_then(|(_, rest)| rest.split_once('s'))
+        .and_then(|(secs, _)| secs.parse().ok())
+        .filter(|&secs: &f64| secs > 0.0)
+}
+
 pub fn read(path: &Path) -> String {
     std::fs::read_to_string(path).unwrap_or_default()
 }
@@ -264,9 +275,16 @@ pub fn run(ctx: &Ctx, w: &Batch, report: &mut Report) {
     if ctx.trace {
         let untraced = |report: &mut Report| {
             let (build, _) = build_image(ctx, &text, &image, 0.0, report);
-            let (job, _, _) = proc::run(&ctx.mine_bin(), &job_args, &ctx.work, "job");
-            report.check(job.success, || "untraced job failed".to_owned());
-            build[0] + job.wall.as_secs_f64()
+            let (job, _, err) = proc::run(&ctx.mine_bin(), &job_args, &ctx.work, "job");
+            let stderr = read(&err);
+            let mining_s = reported_mining_s(&stderr);
+            report.check(job.success && mining_s.is_some(), || {
+                format!("untraced job failed: {stderr}")
+            });
+            layers::Untraced {
+                wall_s: build[0] + job.wall.as_secs_f64(),
+                mining_s,
+            }
         };
         let coverage = layers::measure(ctx, &text, &[w.request()], TRACE_ROUNDS, untraced, report);
         report.check(coverage >= layers::MIN_COVERAGE, || {
@@ -300,6 +318,7 @@ pub fn run(ctx: &Ctx, w: &Batch, report: &mut Report) {
         &setups,
         &window.walls,
         report::fastest(&window.walls),
+        (report::percentile(&window.walls, 99.0), window.walls.len()),
         report::serial_rps(&window.walls),
         (setup_rss.max(window.rss), setups.len() + window.walls.len()),
         image_bytes as f64 / text_bytes as f64,

@@ -83,7 +83,10 @@ pub fn run(ctx: &Ctx, report: &mut Report) -> Result<(), String> {
             let (answer, _, _) = proc::run(&ctx.mine_bin(), &probe_args, &ctx.work, "probe");
             report.check(answer.success, || "untraced probe failed".to_owned());
             std::fs::remove_file(&image).expect("remove image");
-            build[0] + answer.wall.as_secs_f64()
+            layers::Untraced {
+                wall_s: build[0] + answer.wall.as_secs_f64(),
+                mining_s: None,
+            }
         };
         // Coverage is reported but not checked here: at 1.9 GB the kernel's
         // page faults and address-space teardown at exit, which no library
@@ -120,6 +123,7 @@ pub fn run(ctx: &Ctx, report: &mut Report) -> Result<(), String> {
         &setups,
         &window.walls,
         report::fastest(&window.walls),
+        (report::percentile(&window.walls, 99.0), window.walls.len()),
         report::serial_rps(&window.walls),
         (rss, setups.len() + 1 + window.walls.len()),
         image_bytes as f64 / text_bytes as f64,

@@ -4,6 +4,9 @@
 //! A traced pass walks the path a job takes — parse, index build, snapshot
 //! write, snapshot open, mining, rendering — and its spans must cover the
 //! wall time of the same path through the binaries (`trace.coverage`).
+//! The two sides run in different processes, whose speeds on a shared host
+//! differ by up to 2x, so where the binaries report their own mining time
+//! both sides are first scaled to it (see `measure`).
 //! Cheap layers are then repeated until their samples add up to
 //! `MIN_LAYER_S`, and each reports its median.
 
@@ -49,6 +52,16 @@ fn with_repeats<T>(firsts: &[f64], f: impl FnMut() -> T) -> Vec<f64> {
         samples.extend(more);
     }
     samples
+}
+
+/// What one untraced round — the job's path through the binaries — took.
+#[derive(Debug, Clone, Copy)]
+pub struct Untraced {
+    /// Wall time of the whole path, spawn to exit of each process.
+    pub wall_s: f64,
+    /// The binaries' own report of their time in `Miner::run`, where they
+    /// print one.
+    pub mining_s: Option<f64>,
 }
 
 /// One traced pass: the path a job takes, every step timed.
@@ -134,16 +147,30 @@ fn counts(outcomes: &[MiningOutcome]) -> [u64; 5] {
 }
 
 /// The body of a `--pass` child: one traced pass over `text`, printed as
-/// one line — the spans' sum, the pass's wall time, then the exact counts.
+/// one line — the spans' sum, the pass's wall time, its `Miner::run` time,
+/// then the exact counts.
 pub fn pass_line(text: &Path, image: &Path, requests: &[MiningRequest]) -> String {
     let pass = traced_pass(text, image, requests);
     let counts: Vec<String> = counts(&pass.outcomes).iter().map(u64::to_string).collect();
-    format!("{:?} {:?} {}", pass.spans_s, pass.wall_s, counts.join(" "))
+    format!(
+        "{:?} {:?} {:?} {}",
+        pass.spans_s,
+        pass.wall_s,
+        pass.run_s,
+        counts.join(" ")
+    )
 }
 
-/// Runs one traced pass in a fresh `--pass` child of this harness and
-/// returns its spans' sum, its wall time and its exact counts.
-fn child_pass(ctx: &Ctx, text: &Path, report: &mut Report) -> Option<(f64, f64, [u64; 5])> {
+/// What a `--pass` child printed.
+struct ChildPass {
+    spans_s: f64,
+    wall_s: f64,
+    run_s: f64,
+    counts: [u64; 5],
+}
+
+/// Runs one traced pass in a fresh `--pass` child of this harness.
+fn child_pass(ctx: &Ctx, text: &Path, report: &mut Report) -> Option<ChildPass> {
     let image = ctx.work.join("pass.img");
     let exe = std::env::current_exe().expect("own executable");
     let (done, out, err) = proc::run(
@@ -165,11 +192,13 @@ fn child_pass(ctx: &Ctx, text: &Path, report: &mut Report) -> Option<(f64, f64, 
         .split_whitespace()
         .filter_map(|f| f.parse().ok())
         .collect();
-    let ok = done.success && fields.len() == 7;
+    let ok = done.success && fields.len() == 8 && fields[2] > 0.0;
     report.check(ok, || format!("traced pass failed: {}", batch::read(&err)));
-    ok.then(|| {
-        let counts = [2, 3, 4, 5, 6].map(|i| fields[i] as u64);
-        (fields[0], fields[1], counts)
+    ok.then(|| ChildPass {
+        spans_s: fields[0],
+        wall_s: fields[1],
+        run_s: fields[2],
+        counts: [3, 4, 5, 6, 7].map(|i| fields[i] as u64),
     })
 }
 
@@ -178,36 +207,42 @@ fn child_pass(ctx: &Ctx, text: &Path, report: &mut Report) -> Option<(f64, f64, 
 ///
 /// Rounds go on for at least `rounds` rounds and `MIN_TRACE_S` seconds.
 /// Each first calls `untraced`, which takes the job's path through the
-/// binaries (snapshot build plus the job) and returns its wall time, then
-/// takes the same path as a traced pass in a fresh child of this harness.
-/// Coverage is the sum of a pass's spans over the untraced wall time, so
-/// work the binaries do outside the timed calls lowers it; overhead is the
-/// traced pass's wall time over the untraced one. Both sides run in fresh
-/// processes because a process's speed on a shared host is set when it
-/// starts (the same job runs 0.16 or 0.33 s in consecutive processes), and
-/// each side takes its fastest round, the figure that luck moves least.
+/// binaries (snapshot build plus the job), then takes the same path as a
+/// traced pass in a fresh child of this harness. Coverage is the sum of a
+/// pass's spans over the untraced wall time, so work the binaries do
+/// outside the timed calls lowers it; overhead is the traced pass's wall
+/// time over the untraced one.
+///
+/// The two sides are different processes, and on a shared host the same
+/// job runs 0.16 or 0.33 s in consecutive ones. Where the binaries print
+/// their own `Miner::run` time, each round scales both sides to it — the
+/// child's spans over the child's `Miner::run` span, times the binaries'
+/// mining time over their wall time — so that each factor is a ratio
+/// within one process, and the figure is the median round. (Taking each
+/// side's fastest round instead left the ratio at the mercy of which side
+/// drew the faster processes: it read 0.94 to 1.10 on the same code.)
+/// Elsewhere each side takes its fastest round.
 /// The per-layer times come from `rounds` further passes in this process.
 pub fn measure(
     ctx: &Ctx,
     text: &Path,
     requests: &[MiningRequest],
     rounds: usize,
-    mut untraced: impl FnMut(&mut Report) -> f64,
+    mut untraced: impl FnMut(&mut Report) -> Untraced,
     report: &mut Report,
 ) -> f64 {
     let image = ctx.work.join("traced.img");
-    let mut untraced_s = Vec::new();
-    let mut child_spans_s = Vec::new();
-    let mut child_wall_s = Vec::new();
+    let mut pairs: Vec<(Untraced, ChildPass)> = Vec::new();
     let mut child_counts = Vec::new();
     let started = Instant::now();
-    while untraced_s.len() < rounds.max(1) || started.elapsed().as_secs_f64() < MIN_TRACE_S {
-        untraced_s.push(untraced(report));
-        if let Some((spans, wall, counts)) = child_pass(ctx, text, report) {
-            child_spans_s.push(spans);
-            child_wall_s.push(wall);
-            child_counts.push(counts);
-        }
+    while pairs.len() < rounds.max(1) || started.elapsed().as_secs_f64() < MIN_TRACE_S {
+        let base = untraced(report);
+        // A failed child is already a failed check.
+        let Some(child) = child_pass(ctx, text, report) else {
+            break;
+        };
+        child_counts.push(child.counts);
+        pairs.push((base, child));
     }
     let passes: Vec<Pass> = (0..rounds.max(1))
         .map(|_| traced_pass(text, &image, requests))
@@ -283,21 +318,36 @@ pub fn measure(
     kernel_layer(opened, requests, report);
     closure_layer(opened, requests, &last.outcomes, report);
 
-    report.raw("trace.untraced_s", &untraced_s);
-    report.raw("trace.spans_s", &child_spans_s);
-    // With every child pass failed (already a failed check), both read 0.
-    let (coverage, overhead) = if child_spans_s.is_empty() {
-        (0.0, 0.0)
-    } else {
-        let untraced_s = report::fastest(&untraced_s);
-        (
-            report::fastest(&child_spans_s) / untraced_s,
-            report::fastest(&child_wall_s) / untraced_s,
-        )
-    };
-    report.put("trace.coverage", coverage, "ratio", child_spans_s.len());
-    report.put("trace.overhead", overhead, "ratio", child_wall_s.len());
+    let (coverage, overhead) = coverage_and_overhead(&pairs, report);
+    report.put("trace.coverage", coverage, "ratio", pairs.len());
+    report.put("trace.overhead", overhead, "ratio", pairs.len());
     coverage
+}
+
+/// `trace.coverage` and `trace.overhead` from the rounds of `measure`.
+fn coverage_and_overhead(pairs: &[(Untraced, ChildPass)], report: &mut Report) -> (f64, f64) {
+    let column =
+        |f: &dyn Fn(&(Untraced, ChildPass)) -> f64| pairs.iter().map(f).collect::<Vec<_>>();
+    report.raw("trace.untraced_s", &column(&|(u, _)| u.wall_s));
+    report.raw("trace.spans_s", &column(&|(_, c)| c.spans_s));
+    // With every child pass failed (already a failed check), both read 0.
+    if pairs.is_empty() {
+        return (0.0, 0.0);
+    }
+    if pairs.iter().all(|(u, _)| u.mining_s.is_some()) {
+        let scale = |(u, c): &(Untraced, ChildPass)| {
+            u.mining_s.expect("checked above") / u.wall_s / c.run_s
+        };
+        let coverage = column(&|p| p.1.spans_s * scale(p));
+        let overhead = column(&|p| p.1.wall_s * scale(p));
+        report.raw("trace.round_coverage", &coverage);
+        return (report::median(&coverage), report::median(&overhead));
+    }
+    let untraced_s = report::fastest(&column(&|(u, _)| u.wall_s));
+    (
+        report::fastest(&column(&|(_, c)| c.spans_s)) / untraced_s,
+        report::fastest(&column(&|(_, c)| c.wall_s)) / untraced_s,
+    )
 }
 
 /// `kernel::grow_layer` over the seeds of the most frequent events.
